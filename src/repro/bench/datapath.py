@@ -123,30 +123,31 @@ def _endpoint_pair():
     return alice, bob
 
 
-def _fast_path_deltas() -> Dict[str, int]:
-    """Per-datagram keying work with warm caches (must all be zero)."""
+def _keying_work(alice, bob):
+    """(flow-key derivations, crypto-state builds, DES schedule builds)."""
     from repro.crypto.des import DES
 
+    return (
+        alice.registry.counter("flow_key_derivations", side="send").value
+        + bob.registry.counter("flow_key_derivations", side="receive").value,
+        alice.registry.counter("crypto_state_builds").value
+        + bob.registry.counter("crypto_state_builds").value,
+        DES.schedule_builds,
+    )
+
+
+def _fast_path_deltas() -> Dict[str, int]:
+    """Per-datagram keying work with warm caches (must all be zero)."""
     alice, bob = _endpoint_pair()
     body = b"\xa5" * 256
     # Warm every cache level: FST, TFKC/RFKC (crypto state included).
     for _ in range(3):
         bob.unprotect(alice.protect(body, bob.principal, secret=True),
                       alice.principal, secret=True)
-    before = (
-        alice.metrics.send_flow_key_derivations
-        + bob.metrics.receive_flow_key_derivations,
-        alice.metrics.crypto_state_builds + bob.metrics.crypto_state_builds,
-        DES.schedule_builds,
-    )
+    before = _keying_work(alice, bob)
     bob.unprotect(alice.protect(body, bob.principal, secret=True),
                   alice.principal, secret=True)
-    after = (
-        alice.metrics.send_flow_key_derivations
-        + bob.metrics.receive_flow_key_derivations,
-        alice.metrics.crypto_state_builds + bob.metrics.crypto_state_builds,
-        DES.schedule_builds,
-    )
+    after = _keying_work(alice, bob)
     return {
         "flow_key_derivations": after[0] - before[0],
         "crypto_state_builds": after[1] - before[1],

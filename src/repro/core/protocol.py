@@ -13,6 +13,13 @@ to the MKC/MKD (upcall) and deriving K_f once per flow; the receive path
 mirrors it with the RFKC.  All caches are soft state: any of them may be
 flushed at any moment with no correctness impact (tests assert this).
 
+Each direction is one staged pipeline (``_send`` / ``_receive``) over
+a list of datagrams: a stateful phase walks them in order, then each
+crypto phase runs one kernel over every surviving datagram -- the numpy
+lanes of :mod:`repro.crypto.vector` for two or more datagrams when numpy
+is present and the suite is keyed MD5 + DES-CBC, the scalar kernels
+otherwise.  ``protect``/``unprotect`` run one datagram: Figure 4 itself.
+
 A note on Figure 4's receive pseudo-code: it computes the MAC check (R7)
 *before* decryption (R10), yet the send side MACs the plaintext body
 (S6) *before* encrypting (S8).  Taken literally the two sides disagree
@@ -24,9 +31,8 @@ the discrepancy here and in DESIGN.md.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.caches import FlowKeyCache
 from repro.core.config import FBSConfig, MacAlgorithm
@@ -40,7 +46,6 @@ from repro.core.errors import (
 from repro.core.fam import DatagramAttributes, FlowAssociationMechanism
 from repro.core.header import FBSHeader, header_length
 from repro.core.keying import FlowCryptoState, KeyDerivation, Principal
-from repro.core.metrics import FBSMetrics
 from repro.core.mkd import MasterKeyDaemon
 from repro.core.timestamps import FreshnessWindow, TimestampCodec
 from repro.crypto import modes
@@ -61,10 +66,13 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["FBSEndpoint", "FBSError", "ReceiveError", "BatchReceiveResult"]
 
-#: Batch-path equivalents of :meth:`FBSHeader.mac_input` / ``iv()``:
-#: the vector datapath assembles these fields before headers exist.
-_CONF_TS = struct.Struct(">II")
-_U32 = struct.Struct(">I")
+
+def _decrypt(mode, cipher, iv: bytes, body: bytes) -> Union[bytes, ValueError]:
+    """The scalar decrypt kernel: a bad lane's ``ValueError`` is returned."""
+    try:
+        return modes.decrypt(mode, cipher, iv, body)
+    except ValueError as exc:
+        return exc
 
 
 @dataclass
@@ -176,7 +184,6 @@ class FBSEndpoint:
         self._confounder_rng = LinearCongruential(confounder_seed)
         self._charge = charge or (lambda _cost: None)
         self._flow_key_cost = flow_key_cost
-        self.metrics = FBSMetrics(registry=self.registry)
         # Bound instruments: the datapath pays one attribute read plus
         # one integer add per count, never a registry lookup.
         reg = self.registry
@@ -202,12 +209,11 @@ class FBSEndpoint:
         self._header_len = header_length(
             self.config.suite, self.config.carry_algorithm_id
         )
-        # Batch lane kernels apply only to the suite they implement
-        # (keyed MD5 + DES-CBC, the paper's IP mapping); anything else
-        # takes the scalar loop, as does a numpy-less interpreter.
+        # The lane kernels apply only to the suite they implement (keyed
+        # MD5 + DES-CBC, the paper's IP mapping); anything else takes
+        # the scalar kernels, as does a numpy-less interpreter.
         self._vector_ok = (
-            self.config.vectorize
-            and _vector.HAVE_NUMPY
+            _vector.HAVE_NUMPY
             and self.config.suite.mac is MacAlgorithm.KEYED_MD5
             and self.config.suite.cipher_mode is modes.CipherMode.CBC
         )
@@ -254,50 +260,48 @@ class FBSEndpoint:
             float(self.fam.active_flows(self.now(), self.config.threshold))
         )
 
-    def _rejected(self, reason: str, sfl: int = -1) -> None:
+    def _rejected(
+        self, reason: str, error: FBSError, sfl: int = -1
+    ) -> Tuple[str, FBSError]:
         """The single bookkeeping point for a dropped datagram.
 
         Bumps ``datagrams_rejected{reason}`` and emits one
         :class:`DatagramRejected`; every rejection path calls this
         exactly once, which is what makes the reasons mutually
         exclusive (and keeps retried paths from double-counting).
+        Returns the lane's ``(reason, error)``.
         """
         self._c_rejected_by_reason[reason].inc()
         tr = self.tracer
         if tr.enabled:
             tr.emit(DatagramRejected(reason=reason, sfl=sfl))
+        return reason, error
 
     @property
     def header_size(self) -> int:
         """Wire bytes the security flow header adds to each datagram."""
         return self._header_len
 
-    def _mac(self, flow_key: bytes, header: FBSHeader, body: bytes) -> bytes:
-        """MAC = HMAC(K_f | confounder | timestamp | payload).
-
-        Generic (non-cached) construction; the datapath goes through
-        :meth:`~repro.core.keying.FlowCryptoState.mac`, which produces
-        bit-identical output from precomputed key state.
-        """
-        digest = self.config.suite.mac.func(
-            self.kdf.mac_key(flow_key), header.mac_input(body)
-        )
-        return digest[: self.config.suite.mac_bytes]
-
     def _build_crypto_state(self, flow_key: bytes) -> FlowCryptoState:
         self._c_builds.inc()
         return FlowCryptoState(flow_key, self.config.suite, tracer=self.tracer)
 
-    def _send_flow_state(self, sfl: int, destination: Principal) -> FlowCryptoState:
-        """Figure 6: TFKC, then MKC/MKD, then derive and install.
+    def _flow_state(
+        self, cache: FlowKeyCache, sfl: int, peer: Principal, side: str
+    ) -> FlowCryptoState:
+        """Figure 6: flow key cache, then MKC/MKD, then derive and install.
 
+        ``side`` is ``"send"`` (``cache`` is the TFKC, ``peer`` the
+        destination) or ``"receive"`` (the RFKC, ``peer`` the source).
         A cache hit returns the flow's precomputed
         :class:`FlowCryptoState`: zero key derivations, zero DES key
         schedules, zero hash-prefix absorptions on the fast path.
         """
-        entry = self.tfkc.lookup_entry(
-            sfl, destination.wire_id, self.principal.wire_id
-        )
+        if side == "send":
+            source, destination = self.principal, peer
+        else:
+            source, destination = peer, self.principal
+        entry = cache.lookup_entry(sfl, destination.wire_id, source.wire_id)
         if entry is not None:
             if entry.crypto is None:
                 # Key installed by an out-of-band path (e.g. a test or
@@ -305,44 +309,17 @@ class FBSEndpoint:
                 # once and pin it to the entry.
                 entry.crypto = self._build_crypto_state(entry.flow_key)
             return entry.crypto
-        master = self.mkd.upcall_master_key(destination)
+        master = self.mkd.upcall_master_key(peer)
         self._charge(self._flow_key_cost)
-        self._c_kd_send.inc()
+        (self._c_kd_send if side == "send" else self._c_kd_recv).inc()
         tr = self.tracer
         if tr.enabled:
-            tr.emit(KeyDerived(side="send", sfl=sfl))
-        flow_key = self.kdf.flow_key(sfl, master, self.principal, destination)
+            tr.emit(KeyDerived(side=side, sfl=sfl))
+        flow_key = self.kdf.flow_key(sfl, master, source, destination)
         state = self._build_crypto_state(flow_key)
-        self.tfkc.install(
+        cache.install(
             sfl,
             destination.wire_id,
-            self.principal.wire_id,
-            flow_key,
-            now=self.now(),
-            crypto=state,
-        )
-        return state
-
-    def _receive_flow_state(self, sfl: int, source: Principal) -> FlowCryptoState:
-        """The RFKC mirror of the send path."""
-        entry = self.rfkc.lookup_entry(
-            sfl, self.principal.wire_id, source.wire_id
-        )
-        if entry is not None:
-            if entry.crypto is None:
-                entry.crypto = self._build_crypto_state(entry.flow_key)
-            return entry.crypto
-        master = self.mkd.upcall_master_key(source)
-        self._charge(self._flow_key_cost)
-        self._c_kd_recv.inc()
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(KeyDerived(side="receive", sfl=sfl))
-        flow_key = self.kdf.flow_key(sfl, master, source, self.principal)
-        state = self._build_crypto_state(flow_key)
-        self.rfkc.install(
-            sfl,
-            self.principal.wire_id,
             source.wire_id,
             flow_key,
             now=self.now(),
@@ -350,15 +327,97 @@ class FBSEndpoint:
         )
         return state
 
-    def _send_flow_key(self, sfl: int, destination: Principal) -> bytes:
-        """The flow key alone (compatibility shim over the state path)."""
-        return self._send_flow_state(sfl, destination).flow_key
-
-    def _receive_flow_key(self, sfl: int, source: Principal) -> bytes:
-        """The flow key alone (compatibility shim over the state path)."""
-        return self._receive_flow_state(sfl, source).flow_key
-
     # -- FBSSend (Figure 4, left) ------------------------------------------------
+
+    def _send(
+        self,
+        bodies: Sequence[bytes],
+        destination: Principal,
+        attributes: Optional[Sequence[DatagramAttributes]],
+        secret: bool,
+        stamps: Optional[Sequence[float]],
+    ) -> List[bytes]:
+        """The staged FBSSend pipeline; lane ``i`` is ``bodies[i]``.
+
+        Classify and key (S1-5) walk shared soft state, so they run
+        scalar and in datagram order; MAC, cipher and emit each run one
+        kernel over every lane: the numpy lanes when there are two or
+        more and :attr:`_vector_ok` holds, the scalar kernels otherwise.
+        """
+        n = len(bodies)
+        suite = self.config.suite
+        carry = self.config.carry_algorithm_id
+        headers: List[FBSHeader] = []
+        states: List[FlowCryptoState] = []
+        for i, body in enumerate(bodies):
+            now = self.now() if stamps is None else stamps[i]
+            if attributes is None:
+                attrs = DatagramAttributes(
+                    destination_id=destination.wire_id, size=len(body)
+                )
+            else:
+                attrs = attributes[i]
+            # (S1) classify into a flow (the FAM emits FlowStarted).
+            entry = self.fam.classify(attrs, now)
+            if entry.datagrams == 1:
+                self._c_flows.inc()
+            # (S2-3) flow crypto state (logically the flow key; physically
+            # the TFKC entry carrying the precomputed per-key state).
+            states.append(
+                self._flow_state(self.tfkc, entry.sfl, destination, "send")
+            )
+            # (S4-5) confounder and timestamp; the MAC phase fills ``mac``.
+            headers.append(
+                FBSHeader(
+                    sfl=entry.sfl,
+                    confounder=self._confounder_rng.next_u32(),
+                    mac=b"",
+                    timestamp=self.codec.encode(now),
+                )
+            )
+        vector = n >= 2 and self._vector_ok
+        # (S6) MAC over confounder | timestamp | plaintext body.
+        if vector:
+            mac_inputs = [h.mac_input(body) for h, body in zip(headers, bodies)]
+            macs = _vector.keyed_md5_many([s.mac_key for s in states], mac_inputs)
+        else:
+            macs = [s.mac(h.mac_input(b)) for s, h, b in zip(states, headers, bodies)]
+        for header, mac in zip(headers, macs):
+            header.mac = mac[: suite.mac_bytes]
+        # (S8-9) optional encryption with the confounder-derived IV; the
+        # cipher (key schedule included) is cached on the flow state.
+        if not secret:
+            out = bodies
+        elif vector:
+            out = _vector.cbc_encrypt_many(
+                [s.cipher for s in states], [h.iv() for h in headers], bodies
+            )
+        else:
+            out = [
+                modes.encrypt(suite.cipher_mode, s.cipher, h.iv(), body)
+                for s, h, body in zip(states, headers, bodies)
+            ]
+        # (S7, S10) emit header + body; the event carries the wire size.
+        if vector:
+            heads = _vector.encode_headers_many(
+                [h.sfl for h in headers],
+                [h.confounder for h in headers],
+                [h.mac for h in headers],
+                [h.timestamp for h in headers],
+                suite.mac_bytes,
+                suite_id=suite.suite_id if carry else None,
+            )
+        else:
+            heads = [h.encode(suite, carry) for h in headers]
+        self._c_sent.inc(n)
+        self._c_bytes_out.inc(sum(map(len, out)))
+        if secret:
+            self._c_encryptions.inc(n)
+        if self.tracer.enabled:
+            for header, body in zip(headers, out):
+                event = DatagramProtected(sfl=header.sfl, size=len(body), secret=secret)
+                self.tracer.emit(event)
+        return [head + body for head, body in zip(heads, out)]
 
     def protect(
         self,
@@ -373,46 +432,8 @@ class FBSEndpoint:
         encrypted) body; the caller splices this into its datagram
         format.
         """
-        now = self.now()
-        if attributes is None:
-            attributes = DatagramAttributes(
-                destination_id=destination.wire_id, size=len(body)
-            )
-        # (S1) classify into a flow (the FAM emits FlowStarted).
-        entry = self.fam.classify(attributes, now)
-        if entry.datagrams == 1:
-            self._c_flows.inc()
-        sfl = entry.sfl
-        # (S2-3) flow crypto state (logically the flow key; physically
-        # the TFKC entry carrying the precomputed per-key state).
-        state = self._send_flow_state(sfl, destination)
-        # (S4-5) confounder and timestamp.
-        confounder = self._confounder_rng.next_u32()
-        timestamp = self.codec.encode(now)
-        header = FBSHeader(
-            sfl=sfl,
-            confounder=confounder,
-            mac=b"\x00" * self.config.suite.mac_bytes,
-            timestamp=timestamp,
-        )
-        # (S6) MAC over confounder | timestamp | plaintext body.
-        header.mac = state.mac(header.mac_input(body))
-        # (S8-9) optional encryption with the confounder-derived IV; the
-        # cipher (key schedule included) is cached on the flow state.
-        if secret:
-            body = modes.encrypt(
-                self.config.suite.cipher_mode, state.cipher, header.iv(), body
-            )
-            self._c_encryptions.inc()
-        # (S7, S10) emit header + body.
-        self._c_sent.inc()
-        self._c_bytes_out.inc(len(body))
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(DatagramProtected(sfl=sfl, size=len(body), secret=secret))
-        return (
-            header.encode(self.config.suite, self.config.carry_algorithm_id) + body
-        )
+        lane_attributes = None if attributes is None else [attributes]
+        return self._send([body], destination, lane_attributes, secret, None)[0]
 
     def protect_batch(
         self,
@@ -424,11 +445,10 @@ class FBSEndpoint:
     ) -> List[bytes]:
         """FBSSend over a vector of datagrams.
 
-        Semantically identical to calling :meth:`protect` once per body
-        -- byte-identical wire output, identical counters and events
-        (tests pin the equivalence) -- but the per-datagram Python
-        overhead (attribute chains, counter bumps, tracer checks) is
-        paid once per batch instead of once per datagram.
+        Wire bytes and counters are identical to calling :meth:`protect`
+        once per body (tests pin the equivalence).  Events come out in
+        phase order: every datagram's classification and keying events,
+        then every ``DatagramProtected``.
 
         ``attributes``, when given, is parallel to ``bodies``.
         ``stamps`` optionally supplies a per-datagram simulation time
@@ -442,231 +462,133 @@ class FBSEndpoint:
             raise FBSError("attributes must be parallel to bodies")
         if stamps is not None and len(stamps) != n:
             raise FBSError("stamps must be parallel to bodies")
-        if n == 0:
-            # An empty batch is a no-op: no counters, no events.
-            return []
-        if n >= 2 and self._vector_ok:
-            return self._protect_batch_vector(
-                bodies, destination, attributes, secret, stamps
-            )
-        # Hoisted hot-path state: one load per batch, not per datagram.
-        fam_classify = self.fam.classify
-        send_state = self._send_flow_state
-        next_u32 = self._confounder_rng.next_u32
-        encode_ts = self.codec.encode
-        suite = self.config.suite
-        zero_mac = b"\x00" * suite.mac_bytes
-        carry = self.config.carry_algorithm_id
-        cipher_mode = suite.cipher_mode
-        now_fn = self.now
-        dest_wire = destination.wire_id
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
-        out: List[bytes] = []
-        flows = 0
-        bytes_out = 0
-        encryptions = 0
-        for i in range(n):
-            body = bodies[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            if attributes is not None:
-                attrs = attributes[i]
-            else:
-                attrs = DatagramAttributes(
-                    destination_id=dest_wire, size=len(body)
-                )
-            entry = fam_classify(attrs, now)
-            if entry.datagrams == 1:
-                flows += 1
-            sfl = entry.sfl
-            state = send_state(sfl, destination)
-            header = FBSHeader(
-                sfl=sfl,
-                confounder=next_u32(),
-                mac=zero_mac,
-                timestamp=encode_ts(now),
-            )
-            header.mac = state.mac(header.mac_input(body))
-            if secret:
-                body = modes.encrypt(
-                    cipher_mode, state.cipher, header.iv(), body
-                )
-                encryptions += 1
-            bytes_out += len(body)
-            if emit is not None:
-                emit(DatagramProtected(sfl=sfl, size=len(body), secret=secret))
-            out.append(header.encode(suite, carry) + body)
-        self._c_sent.inc(n)
-        self._c_bytes_out.inc(bytes_out)
-        if flows:
-            self._c_flows.inc(flows)
-        if encryptions:
-            self._c_encryptions.inc(encryptions)
-        return out
-
-    def _protect_batch_vector(
-        self,
-        bodies: Sequence[bytes],
-        destination: Principal,
-        attributes: Optional[Sequence[DatagramAttributes]],
-        secret: bool,
-        stamps: Optional[Sequence[float]],
-    ) -> List[bytes]:
-        """The numpy lane datapath behind :meth:`protect_batch`.
-
-        Classification and keying stay scalar (they walk shared mutable
-        soft state in datagram order -- same events, same cache
-        traffic); the crypto splits into three lane-parallel passes:
-        one keyed-MD5 sweep over every MAC input, one CBC sweep over
-        every body, one header-stamping pass.  Output bytes, counters,
-        and events match the scalar loop exactly.
-        """
-        n = len(bodies)
-        fam_classify = self.fam.classify
-        send_state = self._send_flow_state
-        next_u32 = self._confounder_rng.next_u32
-        encode_ts = self.codec.encode
-        suite = self.config.suite
-        mac_bytes = suite.mac_bytes
-        carry = self.config.carry_algorithm_id
-        now_fn = self.now
-        dest_wire = destination.wire_id
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
-        pack_conf_ts = _CONF_TS.pack
-        flows = 0
-        sfls: List[int] = []
-        confounders: List[int] = []
-        timestamps: List[int] = []
-        mac_keys: List[bytes] = []
-        mac_inputs: List[bytes] = []
-        states: List[FlowCryptoState] = []
-        for i in range(n):
-            body = bodies[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            if attributes is not None:
-                attrs = attributes[i]
-            else:
-                attrs = DatagramAttributes(
-                    destination_id=dest_wire, size=len(body)
-                )
-            entry = fam_classify(attrs, now)
-            if entry.datagrams == 1:
-                flows += 1
-            sfl = entry.sfl
-            state = send_state(sfl, destination)
-            confounder = next_u32()
-            timestamp = encode_ts(now)
-            sfls.append(sfl)
-            confounders.append(confounder)
-            timestamps.append(timestamp)
-            mac_keys.append(state.mac_key)
-            mac_inputs.append(pack_conf_ts(confounder, timestamp) + body)
-            states.append(state)
-            if emit is not None:
-                # PKCS#7 always pads, so the wire body size under
-                # encryption is the next multiple of 8 *above* len(body).
-                size = ((len(body) | 7) + 1) if secret else len(body)
-                emit(DatagramProtected(sfl=sfl, size=size, secret=secret))
-        macs = _vector.keyed_md5_many(mac_keys, mac_inputs)
-        if mac_bytes != 16:
-            macs = [mac[:mac_bytes] for mac in macs]
-        if secret:
-            pack_u32 = _U32.pack
-            ivs = []
-            for confounder in confounders:
-                four = pack_u32(confounder)
-                ivs.append(four + four)
-            out_bodies = _vector.cbc_encrypt_many(
-                [state.cipher for state in states], ivs, bodies
-            )
-        else:
-            out_bodies = list(bodies)
-        heads = _vector.encode_headers_many(
-            sfls,
-            confounders,
-            macs,
-            timestamps,
-            mac_bytes,
-            suite_id=suite.suite_id if carry else None,
-        )
-        out = [heads[i] + out_bodies[i] for i in range(n)]
-        self._c_sent.inc(n)
-        self._c_bytes_out.inc(sum(len(body) for body in out_bodies))
-        if flows:
-            self._c_flows.inc(flows)
-        if secret:
-            self._c_encryptions.inc(n)
-        return out
+        return self._send(bodies, destination, attributes, secret, stamps)
 
     # -- FBSReceive (Figure 4, right) ----------------------------------------------
+
+    def _receive(
+        self,
+        datagrams: Sequence[bytes],
+        source: Principal,
+        secret: bool,
+        stamps: Optional[Sequence[float]],
+    ) -> Tuple[List[Optional[bytes]], List[Optional[Tuple[str, FBSError]]]]:
+        """The staged FBSReceive pipeline; lane ``i`` is ``datagrams[i]``.
+
+        Phases and event order as :meth:`unprotect_batch` documents;
+        kernel choice as in :meth:`_send`.  Returns ``(bodies, fails)``:
+        ``fails[i]`` is ``None`` when lane ``i`` delivered ``bodies[i]``,
+        else its rejection's ``(reason, error)``; ``unprotect`` raises ``error``.
+        """
+        n = len(datagrams)
+        suite = self.config.suite
+        self._c_received.inc(n)
+        bodies: List[Optional[bytes]] = [None] * n
+        fails: List[Optional[Tuple[str, FBSError]]] = [None] * n
+        headers: List[Optional[FBSHeader]] = [None] * n
+        states: List[Optional[FlowCryptoState]] = [None] * n
+        nows = [0.0] * n
+        alive: List[int] = []
+        for i, data in enumerate(datagrams):
+            now = nows[i] = self.now() if stamps is None else stamps[i]
+            # (R2) parse the security flow header.
+            try:
+                header = FBSHeader.decode(data, suite, self.config.carry_algorithm_id)
+            except HeaderFormatError as exc:
+                fails[i] = self._rejected("header", exc)
+                continue
+            # (R3-4) freshness.
+            if not self.freshness.is_fresh(header.timestamp, now):
+                stale = StaleTimestampError(
+                    f"timestamp {header.timestamp} outside freshness window at {now}"
+                )
+                fails[i] = self._rejected("stale_timestamp", stale, header.sfl)
+                continue
+            # (R5-6) recover the flow crypto state (via the RFKC).
+            try:
+                states[i] = self._flow_state(self.rfkc, header.sfl, source, "receive")
+            except FBSError as exc:
+                fails[i] = self._rejected("keying", exc, header.sfl)
+                continue
+            headers[i] = header
+            bodies[i] = data[self._header_len :]
+            alive.append(i)
+        vector = n >= 2 and self._vector_ok
+        # (R10-11 before R7-9; see the module docstring on Figure 4's
+        # ordering) optional decryption with the flow's cached cipher.
+        if secret and alive:
+            lanes = (
+                [states[i].cipher for i in alive],
+                [headers[i].iv() for i in alive],
+                [bodies[i] for i in alive],
+            )
+            if vector:
+                # A lane the kernel cannot decrypt comes back as None.
+                plains = _vector.cbc_decrypt_many(*lanes)
+            else:
+                plains = [_decrypt(suite.cipher_mode, *lane) for lane in zip(*lanes)]
+            for i, plain in zip(alive, plains):
+                if isinstance(plain, bytes):
+                    bodies[i] = plain
+                    self._c_decryptions.inc()
+                    continue
+                # Garbled padding or ragged ciphertext: an integrity failure.
+                cause = plain or ValueError("corrupt ciphertext or padding")
+                error = MacMismatchError(f"decryption failed: {cause}")
+                error.__cause__ = cause
+                fails[i] = self._rejected("mac", error, headers[i].sfl)
+            alive = [i for i in alive if fails[i] is None]
+        # (R7-9) MAC verification over the plaintext.
+        if alive:
+            mac_inputs = [headers[i].mac_input(bodies[i]) for i in alive]
+            if vector:
+                expected = _vector.keyed_md5_many(
+                    [states[i].mac_key for i in alive], mac_inputs
+                )
+            else:
+                expected = [states[i].mac(m) for i, m in zip(alive, mac_inputs)]
+            for i, mac in zip(alive, expected):
+                sfl = headers[i].sfl
+                if not constant_time_equal(mac[: suite.mac_bytes], headers[i].mac):
+                    mismatch = MacMismatchError(
+                        f"MAC mismatch on datagram in flow {sfl:#x}"
+                    )
+                    fails[i] = self._rejected("mac", mismatch, sfl)
+        for i in alive:
+            if fails[i] is not None:
+                continue
+            header = headers[i]
+            # Optional extension: suppress exact duplicates within the
+            # freshness window (after MAC verification, so forged
+            # headers cannot poison the memory).  Only the guard raises
+            # inside the try; catching its ReceiveError here avoids
+            # importing the concrete subclass (the guard module is an
+            # optional import).
+            if self.replay_guard is not None:
+                try:
+                    self.replay_guard.check_and_remember(header, nows[i])
+                except ReceiveError as exc:
+                    fails[i] = self._rejected("duplicate", exc, header.sfl)
+                    continue
+            # (R12) deliver.
+            size = len(bodies[i])
+            self._c_accepted.inc()
+            self._c_bytes_in.inc(size)
+            if self.tracer.enabled:
+                self.tracer.emit(DatagramAccepted(sfl=header.sfl, size=size))
+        return bodies, fails
 
     def unprotect(self, data: bytes, source: Principal, secret: bool = False) -> bytes:
         """FBSReceive: freshness, keying, decrypt, MAC verify.
 
         Returns the plaintext body, or raises a :class:`ReceiveError`
-        subclass (the pseudo-code's ``return error`` paths).
+        subclass (the pseudo-code's ``return error`` paths) or, when the
+        flow key cannot be established, the keying :class:`FBSError`.
         """
-        self._c_received.inc()
-        now = self.now()
-        # (R2) parse the security flow header.
-        try:
-            header = FBSHeader.decode(
-                data, self.config.suite, self.config.carry_algorithm_id
-            )
-        except HeaderFormatError:
-            self._rejected("header")
-            raise
-        body = data[self.header_size :]
-        # (R3-4) freshness.
-        if not self.freshness.is_fresh(header.timestamp, now):
-            self._rejected("stale_timestamp", header.sfl)
-            raise StaleTimestampError(
-                f"timestamp {header.timestamp} outside freshness window at {now}"
-            )
-        # (R5-6) recover the flow crypto state (via the RFKC).
-        try:
-            state = self._receive_flow_state(header.sfl, source)
-        except FBSError:
-            self._rejected("keying", header.sfl)
-            raise
-        # (R10-11 before R7-9; see the module docstring on Figure 4's
-        # ordering) optional decryption with the flow's cached cipher.
-        if secret:
-            try:
-                body = modes.decrypt(
-                    self.config.suite.cipher_mode, state.cipher, header.iv(), body
-                )
-            except ValueError as exc:
-                # Garbled padding: treat as an integrity failure.
-                self._rejected("mac", header.sfl)
-                raise MacMismatchError(f"decryption failed: {exc}") from exc
-            self._c_decryptions.inc()
-        # (R7-9) MAC verification over the plaintext.
-        expected = state.mac(header.mac_input(body))
-        if not constant_time_equal(expected, header.mac):
-            self._rejected("mac", header.sfl)
-            raise MacMismatchError(
-                f"MAC mismatch on datagram in flow {header.sfl:#x}"
-            )
-        # Optional extension: suppress exact duplicates within the
-        # freshness window (after MAC verification, so forged headers
-        # cannot poison the memory).  Only the guard raises inside the
-        # try; catching its ReceiveError here avoids importing the
-        # concrete subclass (the guard module is an optional import).
-        if self.replay_guard is not None:
-            try:
-                self.replay_guard.check_and_remember(header, now)
-            except ReceiveError:
-                self._rejected("duplicate", header.sfl)
-                raise
-        # (R12) deliver.
-        self._c_accepted.inc()
-        self._c_bytes_in.inc(len(body))
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(DatagramAccepted(sfl=header.sfl, size=len(body)))
-        return body
+        bodies, fails = self._receive([data], source, secret, None)
+        if fails[0] is not None:
+            raise fails[0][1]
+        return bodies[0]
 
     def unprotect_batch(
         self,
@@ -679,225 +601,27 @@ class FBSEndpoint:
 
         Unlike :meth:`unprotect`, a bad datagram does not raise: the
         result records ``None`` plus the rejection reason at that
-        position, so per-datagram rejection accounting is preserved
-        (each reason is counted by the same ``_rejected`` bookkeeping
-        point the scalar path uses, and the reasons stay mutually
-        exclusive).  Counters and events after a batch are identical to
-        a scalar loop that catches :class:`ReceiveError` per datagram
-        -- tests pin the equivalence.
+        position.  Bodies, reasons and counters are identical to a loop
+        of :meth:`unprotect` calls catching :class:`FBSError` (tests pin
+        the equivalence); the reasons stay mutually exclusive.
+
+        Events come out in phase order, the same for every kernel, each
+        phase in datagram order: (1) decode, freshness and RFKC keying
+        -- cache traffic, ``KeyDerived``, header/stale/keying
+        rejections; (2) decrypt rejections; (3) MAC rejections; (4) the
+        replay guard's duplicate rejections and ``DatagramAccepted``.
 
         ``stamps`` optionally supplies per-datagram arrival times (for
         trace replay); without it every datagram reads the endpoint
         clock exactly as :meth:`unprotect` does.
         """
-        n = len(datagrams)
-        if stamps is not None and len(stamps) != n:
+        if stamps is not None and len(stamps) != len(datagrams):
             raise FBSError("stamps must be parallel to datagrams")
-        if n == 0:
-            # An empty batch is a no-op: no counters, no events.
-            return BatchReceiveResult()
-        if n >= 2 and self._vector_ok:
-            return self._unprotect_batch_vector(datagrams, source, secret, stamps)
-        # Hoisted hot-path state: one load per batch, not per datagram.
-        suite = self.config.suite
-        carry = self.config.carry_algorithm_id
-        cipher_mode = suite.cipher_mode
-        decode = FBSHeader.decode
-        header_len = self._header_len
-        is_fresh = self.freshness.is_fresh
-        recv_state = self._receive_flow_state
-        guard = self.replay_guard
-        rejected = self._rejected
-        now_fn = self.now
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
-        result = BatchReceiveResult()
-        bodies = result.bodies
-        reasons = result.reasons
-        accepted = 0
-        bytes_in = 0
-        decryptions = 0
-        self._c_received.inc(n)
-        for i in range(n):
-            data = datagrams[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            try:
-                header = decode(data, suite, carry)
-            except HeaderFormatError:
-                rejected("header")
-                bodies.append(None)
-                reasons.append("header")
-                continue
-            body = data[header_len:]
-            if not is_fresh(header.timestamp, now):
-                rejected("stale_timestamp", header.sfl)
-                bodies.append(None)
-                reasons.append("stale_timestamp")
-                continue
-            try:
-                state = recv_state(header.sfl, source)
-            except FBSError:
-                rejected("keying", header.sfl)
-                bodies.append(None)
-                reasons.append("keying")
-                continue
-            if secret:
-                try:
-                    body = modes.decrypt(
-                        cipher_mode, state.cipher, header.iv(), body
-                    )
-                except ValueError:
-                    rejected("mac", header.sfl)
-                    bodies.append(None)
-                    reasons.append("mac")
-                    continue
-                decryptions += 1
-            expected = state.mac(header.mac_input(body))
-            if not constant_time_equal(expected, header.mac):
-                rejected("mac", header.sfl)
-                bodies.append(None)
-                reasons.append("mac")
-                continue
-            if guard is not None:
-                try:
-                    guard.check_and_remember(header, now)
-                except ReceiveError:
-                    rejected("duplicate", header.sfl)
-                    bodies.append(None)
-                    reasons.append("duplicate")
-                    continue
-            accepted += 1
-            bytes_in += len(body)
-            if emit is not None:
-                emit(DatagramAccepted(sfl=header.sfl, size=len(body)))
-            bodies.append(body)
-            reasons.append(None)
-        self._c_accepted.inc(accepted)
-        self._c_bytes_in.inc(bytes_in)
-        if decryptions:
-            self._c_decryptions.inc(decryptions)
-        return result
-
-    def _unprotect_batch_vector(
-        self,
-        datagrams: Sequence[bytes],
-        source: Principal,
-        secret: bool,
-        stamps: Optional[Sequence[float]],
-    ) -> BatchReceiveResult:
-        """The numpy lane datapath behind :meth:`unprotect_batch`.
-
-        Phase 1 walks the datagrams in order doing everything stateful
-        and cheap (header decode, freshness, keying) and rejects
-        inline.  Surviving lanes then take one flattened CBC decrypt
-        and one keyed-MD5 sweep.  The final pass runs in datagram order
-        again for MAC/duplicate rejection bookkeeping, the replay
-        guard, and delivery -- so counter totals, per-index reasons,
-        and replay-guard memory order all match the scalar loop.
-        """
-        n = len(datagrams)
-        suite = self.config.suite
-        carry = self.config.carry_algorithm_id
-        mac_bytes = suite.mac_bytes
-        decode = FBSHeader.decode
-        header_len = self._header_len
-        is_fresh = self.freshness.is_fresh
-        recv_state = self._receive_flow_state
-        guard = self.replay_guard
-        rejected = self._rejected
-        now_fn = self.now
-        tr = self.tracer
-        emit = tr.emit if tr.enabled else None
-        self._c_received.inc(n)
-        headers: List[Optional[FBSHeader]] = [None] * n
-        states: List[Optional[FlowCryptoState]] = [None] * n
-        lane_bodies: List[Optional[bytes]] = [None] * n
-        nows: List[float] = [0.0] * n
-        fails: List[Optional[str]] = [None] * n
-        for i in range(n):
-            data = datagrams[i]
-            now = stamps[i] if stamps is not None else now_fn()
-            nows[i] = now
-            try:
-                header = decode(data, suite, carry)
-            except HeaderFormatError:
-                rejected("header")
-                fails[i] = "header"
-                continue
-            if not is_fresh(header.timestamp, now):
-                rejected("stale_timestamp", header.sfl)
-                fails[i] = "stale_timestamp"
-                continue
-            try:
-                states[i] = recv_state(header.sfl, source)
-            except FBSError:
-                rejected("keying", header.sfl)
-                fails[i] = "keying"
-                continue
-            headers[i] = header
-            lane_bodies[i] = data[header_len:]
-        alive = [i for i in range(n) if fails[i] is None]
-        decryptions = 0
-        if secret and alive:
-            plains = _vector.cbc_decrypt_many(
-                [states[i].cipher for i in alive],
-                [headers[i].iv() for i in alive],
-                [lane_bodies[i] for i in alive],
-            )
-            survivors = []
-            for position, i in enumerate(alive):
-                plain = plains[position]
-                if plain is None:
-                    # Not a whole number of blocks, or garbled padding:
-                    # the scalar path's decrypt ValueError.
-                    rejected("mac", headers[i].sfl)
-                    fails[i] = "mac"
-                else:
-                    lane_bodies[i] = plain
-                    decryptions += 1
-                    survivors.append(i)
-            alive = survivors
-        if alive:
-            macs = _vector.keyed_md5_many(
-                [states[i].mac_key for i in alive],
-                [headers[i].mac_input(lane_bodies[i]) for i in alive],
-            )
-            for position, i in enumerate(alive):
-                expected = macs[position][:mac_bytes]
-                if not constant_time_equal(expected, headers[i].mac):
-                    rejected("mac", headers[i].sfl)
-                    fails[i] = "mac"
-        result = BatchReceiveResult()
-        bodies = result.bodies
-        reasons = result.reasons
-        accepted = 0
-        bytes_in = 0
-        for i in range(n):
-            if fails[i] is not None:
-                bodies.append(None)
-                reasons.append(fails[i])
-                continue
-            header = headers[i]
-            body = lane_bodies[i]
-            if guard is not None:
-                try:
-                    guard.check_and_remember(header, nows[i])
-                except ReceiveError:
-                    rejected("duplicate", header.sfl)
-                    bodies.append(None)
-                    reasons.append("duplicate")
-                    continue
-            accepted += 1
-            bytes_in += len(body)
-            if emit is not None:
-                emit(DatagramAccepted(sfl=header.sfl, size=len(body)))
-            bodies.append(body)
-            reasons.append(None)
-        self._c_accepted.inc(accepted)
-        self._c_bytes_in.inc(bytes_in)
-        if decryptions:
-            self._c_decryptions.inc(decryptions)
-        return result
+        bodies, fails = self._receive(datagrams, source, secret, stamps)
+        return BatchReceiveResult(
+            bodies=[b if f is None else None for b, f in zip(bodies, fails)],
+            reasons=[None if f is None else f[0] for f in fails],
+        )
 
     # -- soft state management -------------------------------------------------------
 

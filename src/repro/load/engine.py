@@ -56,7 +56,6 @@ class LoadSpec:
     threshold: float = 600.0
     cache_size: int = 4096
     batch: int = 256
-    vectorize: bool = True
     trace_dir: Optional[str] = None
     timing: bool = False
     #: Wire hop between protect and unprotect (``direct`` or
@@ -80,7 +79,6 @@ class LoadSpec:
                 threshold=self.threshold,
                 cache_size=self.cache_size,
                 batch=self.batch,
-                vectorize=self.vectorize,
                 trace_dir=self.trace_dir,
                 timing=self.timing,
                 transport=self.transport,
@@ -183,7 +181,6 @@ def verify_merge(spec: LoadSpec) -> Dict[str, object]:
             threshold=spec.threshold,
             cache_size=spec.cache_size,
             batch=spec.batch,
-            vectorize=spec.vectorize,
         )
     )
     sharded = shard_invariant_view(run["merged"])

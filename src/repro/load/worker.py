@@ -71,12 +71,6 @@ class WorkerSpec:
     threshold: float = 600.0
     cache_size: int = 4096
     batch: int = 256
-    #: Batch replay through the numpy lane kernels
-    #: (:mod:`repro.crypto.vector`) when available.  Metrics are
-    #: identical either way (the vector path is bit-equivalent); the
-    #: knob exists for timing comparisons and for forcing the scalar
-    #: path on numpy-less deployments.
-    vectorize: bool = True
     #: When set, write a shard-tagged JSONL event trace to
     #: ``<trace_dir>/worker<i>.jsonl``.
     trace_dir: Optional[str] = None
@@ -157,7 +151,6 @@ def run_worker(spec: WorkerSpec) -> Dict[str, object]:
         tfkc_ways=spec.cache_size,
         rfkc_size=spec.cache_size,
         rfkc_ways=spec.cache_size,
-        vectorize=spec.vectorize,
     )
     domain = FBSDomain(seed=spec.seed, config=config)
     sender_name = f"load-sender-{spec.worker}"

@@ -1,7 +1,7 @@
 """The metrics registry: named counters, gauges, and histograms.
 
-Replaces the old flat ``FBSMetrics`` dataclass bumping with first-class
-named metrics.  Three instrument kinds:
+Every FBS count lives here as a first-class named metric.  Three
+instrument kinds:
 
 * :class:`Counter` -- monotonically increasing count (``inc``).
 * :class:`Gauge` -- point-in-time value (``set``); most FBS gauges are

@@ -1,26 +1,25 @@
 """Vector batch datapath: differential equivalence and fallback.
 
-``FBSConfig.vectorize`` must be invisible except in speed: twin worlds
-running the same workload with the switch on and off must produce
-byte-identical wire output, identical registry snapshots, and identical
-per-datagram rejection reasons.  A separate subprocess test proves the
-endpoint falls back to the scalar loop when numpy is absent.
+The kernel choice must be invisible except in speed: twin worlds
+running the same workload on the numpy lane kernels and on the scalar
+kernels (numpy hidden from the endpoints while they are built) must
+produce byte-identical wire output, identical registry snapshots, and
+identical per-datagram rejection reasons.  The fallback tests run with
+or without numpy; a subprocess test proves the endpoint falls back to
+the scalar kernels when importing numpy fails.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
 
+import repro.crypto.vector as vector
 from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
-
-pytestmark = pytest.mark.skipif(
-    not __import__("repro.crypto.vector", fromlist=["HAVE_NUMPY"]).HAVE_NUMPY,
-    reason="vector differential needs numpy (fallback covered separately)",
-)
 
 
 class Clock:
@@ -32,11 +31,15 @@ class Clock:
 
 
 def make_pair(vectorize, config=None, seed=11):
-    base = config or FBSConfig(replay_guard_size=256)
+    """An endpoint pair; ``vectorize=False`` builds the scalar twin by
+    hiding numpy from the endpoints while they are constructed."""
     clock = Clock()
-    domain = FBSDomain(seed=seed, config=base.with_(vectorize=vectorize))
-    alice = domain.make_endpoint(Principal.from_name("alice"), now=clock)
-    bob = domain.make_endpoint(Principal.from_name("bob"), now=clock)
+    domain = FBSDomain(seed=seed, config=config or FBSConfig(replay_guard_size=256))
+    with pytest.MonkeyPatch.context() as mp:
+        if not vectorize:
+            mp.setattr(vector, "HAVE_NUMPY", False)
+        alice = domain.make_endpoint(Principal.from_name("alice"), now=clock)
+        bob = domain.make_endpoint(Principal.from_name("bob"), now=clock)
     return alice, bob, clock
 
 
@@ -72,6 +75,10 @@ def corrupt(wires):
     return stream, stamps
 
 
+@pytest.mark.skipif(
+    not vector.HAVE_NUMPY,
+    reason="vector differential needs numpy (fallback covered separately)",
+)
 class TestVectorBatchDifferential:
     @pytest.mark.parametrize("secret", [False, True])
     def test_protect_wire_bytes_and_snapshots_match(self, secret):
@@ -157,7 +164,7 @@ from repro.core.config import FBSConfig
 from repro.core.deploy import FBSDomain
 from repro.core.keying import Principal
 
-domain = FBSDomain(seed=3, config=FBSConfig(vectorize=True))
+domain = FBSDomain(seed=3, config=FBSConfig())
 alice = domain.make_endpoint(Principal.from_name("alice"), now=lambda: 0.0)
 bob = domain.make_endpoint(Principal.from_name("bob"), now=lambda: 0.0)
 assert not alice._vector_ok, "endpoint must fall back without numpy"
@@ -170,6 +177,18 @@ print("FALLBACK-OK")
 
 
 class TestNumpylessFallback:
+    def test_secret_batch_round_trips_on_scalar_kernels(self):
+        # Without numpy this is the real fallback; with numpy the scalar
+        # twin hides it while the endpoints are built.
+        alice, bob, _ = make_pair(vectorize=False)
+        if importlib.util.find_spec("numpy") is None:
+            assert not vector.HAVE_NUMPY
+        assert not alice._vector_ok, "vector path must be disabled"
+        bodies = [bytes([i]) * (i * 37 % 256) for i in range(16)]
+        wires = alice.protect_batch(bodies, bob.principal, secret=True)
+        result = bob.unprotect_batch(wires, alice.principal, secret=True)
+        assert result.bodies == bodies and result.reasons == [None] * 16
+
     def test_batch_roundtrip_without_numpy(self, tmp_path):
         # A numpy stub that raises ImportError, placed ahead of the
         # real one: the endpoint must silently take the scalar loop.

@@ -35,14 +35,6 @@ class TestPublicApi:
 
 
 class TestMetricsContracts:
-    def test_rejected_property(self):
-        from repro.core.metrics import FBSMetrics
-
-        metrics = FBSMetrics()
-        metrics.datagrams_received = 10
-        metrics.datagrams_accepted = 7
-        assert metrics.datagrams_rejected == 3
-
     def test_routed_throughput_unknown_mode(self):
         from repro.bench import measure_routed_udp_throughput
 
